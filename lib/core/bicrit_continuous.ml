@@ -1,6 +1,5 @@
 module Futil = Es_util.Futil
 
-module Mat = Es_linalg.Mat
 module Barrier = Es_numopt.Barrier
 
 type result = { speeds : float array; energy : float }
@@ -131,42 +130,26 @@ let solve_general ?eff_weights ?lo ?hi ?(tol = 1e-8) ~deadline mapping =
       let lv = levels cdag in
       let alpha = (deadline -. m0) /. float_of_int (n + 2) in
       let s0 = Array.init n (fun i -> es0.(i) +. (alpha *. (float_of_int lv.(i) +. 0.5))) in
-      (* variables x = [d; s] *)
+      (* variables x = [d; s]; every row touches at most one duration *)
       let rows = ref [] and rhs = ref [] in
-      let add_row coeffs b =
-        rows := coeffs :: !rows;
+      let add_row entries b =
+        rows := Barrier.row entries :: !rows;
         rhs := b :: !rhs
       in
-      let row () = Array.make (2 * n) 0. in
       List.iter
         (fun (i, j) ->
           (* s_i + d_i - s_j <= 0 *)
-          let r = row () in
-          r.(i) <- 1.;
-          r.(n + i) <- 1.;
-          r.(n + j) <- -1.;
-          add_row r 0.)
+          add_row [ (i, 1.); (n + i, 1.); (n + j, -1.) ] 0.)
         (Dag.edges cdag);
       for i = 0 to n - 1 do
         (* s_i + d_i <= D *)
-        let r = row () in
-        r.(i) <- 1.;
-        r.(n + i) <- 1.;
-        add_row r deadline;
+        add_row [ (i, 1.); (n + i, 1.) ] deadline;
         (* -s_i <= 0 *)
-        let r = row () in
-        r.(n + i) <- -1.;
-        add_row r 0.;
+        add_row [ (n + i, -1.) ] 0.;
         (* -d_i <= -w_i/hi_i  (speed at most hi) *)
-        let r = row () in
-        r.(i) <- -1.;
-        add_row r (-.d_min.(i));
+        add_row [ (i, -1.) ] (-.d_min.(i));
         (* d_i <= w_i/lo_i (speed at least lo), only when lo > 0 *)
-        if lo.(i) > 0. then begin
-          let r = row () in
-          r.(i) <- 1.;
-          add_row r (w.(i) /. lo.(i))
-        end
+        if lo.(i) > 0. then add_row [ (i, 1.) ] (w.(i) /. lo.(i))
       done;
       let a = Array.of_list (List.rev !rows) in
       let b = Array.of_list (List.rev !rhs) in
@@ -187,11 +170,11 @@ let solve_general ?eff_weights ?lo ?hi ?(tol = 1e-8) ~deadline mapping =
                 g.(i) <- -2. *. Futil.cube w.(i) /. Futil.cube x.(i)
               done;
               g);
-          hess =
+          hess_diag =
             (fun x ->
-              let h = Mat.make (2 * n) (2 * n) 0. in
+              let h = Array.make (2 * n) 0. in
               for i = 0 to n - 1 do
-                h.(i).(i) <- 6. *. Futil.cube w.(i) /. (Futil.square x.(i) *. Futil.square x.(i))
+                h.(i) <- 6. *. Futil.cube w.(i) /. (Futil.square x.(i) *. Futil.square x.(i))
               done;
               h);
         }

@@ -34,6 +34,15 @@ let solve_subset_split ~rel ~deadline ~levels mapping ~subset ~splits =
     Array.to_list alphas.(i)
     |> List.concat_map (fun exec -> Array.to_list (Array.map (fun v -> (1., v)) exec))
   in
+  (* The reliability rows are divided through by the largest rate: the
+     raw rates are ~1e-5 to 1e-4, small enough for the simplex's
+     absolute pivot and ratio tolerances to misjudge the rows and pivot
+     the basis singular.  (With lambda0 = 0 every rate is 0 and the
+     rows are left as they are.) *)
+  let rates = Array.map (fun f -> Rel.rate rel ~f) levels in
+  let top_rate =
+    match Array.fold_left Float.max 0. rates with r when r > 0. -> r | _ -> 1.
+  in
   let feasible = ref true in
   for i = 0 to n - 1 do
     let w = Dag.weight cdag i in
@@ -52,8 +61,8 @@ let solve_subset_split ~rel ~deadline ~levels mapping ~subset ~splits =
           w;
         (* linear reliability budget per execution *)
         Problem.le lp
-          (Array.to_list (Array.mapi (fun k v -> (Rel.rate rel ~f:levels.(k), v)) exec))
-          budgets.(e))
+          (Array.to_list (Array.mapi (fun k v -> (rates.(k) /. top_rate, v)) exec))
+          (budgets.(e) /. top_rate))
       alphas.(i);
     (* even the fastest level must be able to meet every budget *)
     let top = levels.(Array.length levels - 1) in

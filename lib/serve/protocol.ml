@@ -16,7 +16,7 @@ type request = {
   budget_s : float option;
 }
 
-type parsed = Request of request | Malformed of string
+type parsed = Request of request | Malformed of { id : Json.t; error : string }
 
 (* ---- parsing ------------------------------------------------------ *)
 
@@ -105,8 +105,9 @@ let parse_rel ~model j =
 
 let parse_line line =
   match Json.of_string line with
-  | exception Json.Parse_error msg -> Malformed ("malformed JSON: " ^ msg)
+  | exception Json.Parse_error msg -> Malformed { id = Json.Null; error = "malformed JSON: " ^ msg }
   | Json.Obj _ as j -> (
+    let id = Option.value ~default:Json.Null (member "id" j) in
     try
       let model = parse_model j in
       let inst =
@@ -132,10 +133,9 @@ let parse_line line =
           let b = num "budget_s" b in
           if b <= 0. then bad "field \"budget_s\" must be > 0" else Some b
       in
-      Request
-        { id = Option.value ~default:Json.Null (member "id" j); inst; budget_s }
-    with Bad msg -> Malformed msg)
-  | _ -> Malformed "request must be a JSON object"
+      Request { id; inst; budget_s }
+    with Bad error -> Malformed { id; error })
+  | _ -> Malformed { id = Json.Null; error = "request must be a JSON object" }
 
 (* ---- instance resolution ------------------------------------------ *)
 

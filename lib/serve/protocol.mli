@@ -51,7 +51,12 @@ type request = {
   budget_s : (float[@units "time"]) option;
 }
 
-type parsed = Request of request | Malformed of string
+type parsed =
+  | Request of request
+  | Malformed of { id : Es_obs.Obs_json.t; error : string }
+      (** [id] is the request's ["id"] whenever the line parsed as a
+          JSON object, so the error response still echoes it; [Null]
+          otherwise. *)
 
 val parse_line : string -> parsed
 (** Total: every parse or shape error becomes [Malformed]. *)

@@ -1,5 +1,4 @@
 module Obs = Es_obs.Obs
-module Json = Es_obs.Obs_json
 module Par = Es_par.Par
 
 type config = {
@@ -136,9 +135,9 @@ let reply ?cache ?self_check rid status =
 let classify t ~admitted line =
   let t0 = Obs.now () in
   match Protocol.parse_line line with
-  | Protocol.Malformed msg ->
+  | Protocol.Malformed { id; error } ->
     Obs.incr c_malformed;
-    Immediate (reply Json.Null (Protocol.Rejected msg))
+    Immediate (reply id (Protocol.Rejected error))
   | Protocol.Request req ->
     if !admitted >= t.config.queue then begin
       Obs.incr c_shed;

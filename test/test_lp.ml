@@ -76,6 +76,17 @@ let test_degenerate_terminates () =
 (* Brute-force LP reference: enumerate all choices of n constraints
    (from rows plus axes), solve the linear system, keep feasible points,
    return the best objective.  Sound for bounded non-degenerate LPs. *)
+(* Solve the square system a x = b through the simplex's sparse LU,
+   with the matrix columns as the "basis".
+   @raise Es_lp.Lu.Singular if a is numerically singular. *)
+let dense_solve a b =
+  let m = Array.length a in
+  let col j =
+    List.filter_map (fun i -> if a.(i).(j) <> 0. then Some (i, a.(i).(j)) else None)
+      (List.init m Fun.id)
+  in
+  Es_lp.Lu.ftran (Es_lp.Lu.factor ~m ~col (Array.init m Fun.id)) (Array.copy b)
+
 let brute_force ~obj rows =
   let n = Array.length obj in
   let planes =
@@ -102,7 +113,7 @@ let brute_force ~obj rows =
     if k = 0 then begin
       let a = Array.of_list (List.rev_map (fun i -> Array.copy (fst planes.(i))) acc) in
       let b = Array.of_list (List.rev_map (fun i -> snd planes.(i)) acc) in
-      match Es_linalg.Mat.solve a b with
+      match dense_solve a b with
       | x when feasible x ->
         let v = ref 0. in
         Array.iteri (fun i c -> v := !v +. (c *. x.(i))) obj;
@@ -110,7 +121,7 @@ let brute_force ~obj rows =
         | Some bv when bv <= !v -> ()
         | _ -> best := Some !v)
       | _ -> ()
-      | exception Es_linalg.Mat.Singular -> ()
+      | exception Es_lp.Lu.Singular -> ()
     end
     else
       for i = start to m - 1 do

@@ -49,11 +49,11 @@ let quadratic_objective () =
   {
     Barrier.f = (fun x -> ((x.(0) -. 2.) ** 2.) +. ((x.(1) -. 3.) ** 2.));
     grad = (fun x -> [| 2. *. (x.(0) -. 2.); 2. *. (x.(1) -. 3.) |]);
-    hess = (fun _ -> [| [| 2.; 0. |]; [| 0.; 2. |] |]);
+    hess_diag = (fun _ -> [| 2.; 2. |]);
   }
 
 let simplex_region =
-  ( [| [| 1.; 1. |]; [| -1.; 0. |]; [| 0.; -1. |] |],
+  ( [| Barrier.row [ (0, 1.); (1, 1.) ]; Barrier.row [ (0, -1.) ]; Barrier.row [ (1, -1.) ] |],
     [| 3.; 0.; 0. |] )
 
 let test_barrier_projection () =
@@ -65,7 +65,7 @@ let test_barrier_projection () =
 
 let test_barrier_interior_optimum () =
   (* loose constraint: optimum interior, should reach (2,3) *)
-  let a = [| [| 1.; 1. |] |] and b = [| 100. |] in
+  let a = [| Barrier.row [ (0, 1.); (1, 1.) ] |] and b = [| 100. |] in
   let x = Barrier.minimize ?tol:None ?t0:None ?mu:None ?newton_tol:None ?max_newton:None
       (quadratic_objective ()) ~a ~b ~x0:[| 1.; 1. |] in
   check_float 1e-4 "x free" 2. x.(0);
@@ -101,19 +101,13 @@ let test_barrier_energy_chain () =
           done;
           !acc);
       grad = (fun d -> Array.init n (fun i -> -2. *. cube w.(i) /. cube d.(i)));
-      hess =
-        (fun d ->
-          let h = Array.init n (fun _ -> Array.make n 0.) in
-          for i = 0 to n - 1 do
-            h.(i).(i) <- 6. *. cube w.(i) /. (d.(i) *. d.(i) *. d.(i) *. d.(i))
-          done;
-          h);
+      hess_diag = (fun d -> Array.init n (fun i -> 6. *. cube w.(i) /. (d.(i) *. d.(i) *. d.(i) *. d.(i))));
     }
   in
   let a =
     Array.append
-      [| Array.make n 1. |]
-      (Array.init n (fun i -> Array.init n (fun j -> if i = j then -1. else 0.)))
+      [| Barrier.row (List.init n (fun j -> (j, 1.))) |]
+      (Array.init n (fun i -> Barrier.row [ (i, -1.) ]))
   in
   let b = Array.append [| d_total |] (Array.map (fun wi -> -.wi /. 10.) w) in
   let x0 = Array.map (fun wi -> d_total *. wi /. 6. *. 0.9) w in
@@ -122,6 +116,55 @@ let test_barrier_energy_chain () =
   for i = 0 to n - 1 do
     check_float 1e-4 "duration proportional to weight" (2. *. w.(i)) d.(i)
   done
+
+module Obs = Es_obs.Obs
+
+let with_obs f =
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.disable ()) f
+
+let unit_interval = ([| Barrier.row [ (0, 1.) ]; Barrier.row [ (0, -1.) ] |], [| 1.; 0. |])
+
+let test_barrier_counts_not_pd () =
+  (* a concave objective: once t·f'' outweighs the barrier curvature
+     the Newton matrix is indefinite, the factorisation refuses it and
+     the solver takes its gradient fallback step, staying inside *)
+  let obj =
+    {
+      Barrier.f = (fun x -> -.(x.(0) *. x.(0)));
+      grad = (fun x -> [| -2. *. x.(0) |]);
+      hess_diag = (fun _ -> [| -2. |]);
+    }
+  in
+  let a, b = unit_interval in
+  let c_not_pd = Obs.counter "barrier_not_pd" in
+  let before = Obs.value c_not_pd in
+  let x =
+    with_obs (fun () ->
+        Barrier.minimize ?tol:None ?t0:None ?mu:None ?newton_tol:None ?max_newton:None obj ~a
+          ~b ~x0:[| 0.5 |])
+  in
+  Alcotest.(check bool) "not-PD steps counted" true (Obs.value c_not_pd > before);
+  Alcotest.(check bool) "strictly inside" true (x.(0) > 0. && x.(0) < 1.)
+
+let test_barrier_step_timers () =
+  (* every Newton step is timed once in assembly+factor; every step
+     that does not stop the centering is timed once in line search *)
+  let a, b = simplex_region in
+  let c_newton = Obs.counter "barrier_newton_iters" in
+  let t_factor = Obs.timer "barrier_assemble_factor" in
+  let t_search = Obs.timer "barrier_line_search" in
+  let n0 = Obs.value c_newton and f0 = Obs.timer_count t_factor in
+  let s0 = Obs.timer_count t_search in
+  ignore
+    (with_obs (fun () ->
+         Barrier.minimize ?tol:None ?t0:None ?mu:None ?newton_tol:None ?max_newton:None
+           (quadratic_objective ()) ~a ~b ~x0:[| 0.5; 0.5 |]));
+  let steps = Obs.value c_newton - n0 in
+  let searches = Obs.timer_count t_search - s0 in
+  Alcotest.(check bool) "newton steps taken" true (steps > 0);
+  Alcotest.(check int) "one assembly+factor per step" steps (Obs.timer_count t_factor - f0);
+  Alcotest.(check bool) "line searches within steps" true (searches > 0 && searches <= steps)
 
 let suite =
   ( "numopt",
@@ -138,4 +181,6 @@ let suite =
       Alcotest.test_case "barrier rejects bad start" `Quick test_barrier_rejects_infeasible_start;
       Alcotest.test_case "feasible_start predicate" `Quick test_feasible_start_predicate;
       Alcotest.test_case "barrier energy chain" `Quick test_barrier_energy_chain;
+      Alcotest.test_case "barrier counts not-PD factorizations" `Quick test_barrier_counts_not_pd;
+      Alcotest.test_case "barrier times factor and line search" `Quick test_barrier_step_timers;
     ] )

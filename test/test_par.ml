@@ -129,20 +129,22 @@ let test_shutdown_rejects_submit () =
 let test_nested_map_runs_inline () =
   with_pool4 (fun pool ->
       let outer = List.init 8 Fun.id in
-      let result =
+      let in_worker, result =
         (* chunk:1 pins every outer item to a pool task (the default
-           probe would run the first items inline, outside a worker) *)
-        (* X002 allowed: the in-worker assertion raising IS the test *)
-        (Par.parallel_map ~pool ~chunk:1
-           (fun i ->
-             (* inside a worker: must fall back to inline execution
-                rather than deadlock on the queue we are draining *)
-             Alcotest.(check bool) "in worker" true (Pool.in_worker ());
-             let inner = List.init 5 (fun j -> (i * 10) + j) in
-             List.fold_left ( + ) 0 (Par.parallel_map ~pool busy inner))
-           outer
-        [@lint.allow "X002"])
+           probe would run the first items inline, outside a worker).
+           The in-worker flag is checked after the join: Alcotest's
+           check logs to shared state and must not run on 4 domains
+           at once. *)
+        List.split
+          (Par.parallel_map ~pool ~chunk:1
+             (fun i ->
+               (* inside a worker: must fall back to inline execution
+                  rather than deadlock on the queue we are draining *)
+               let inner = List.init 5 (fun j -> (i * 10) + j) in
+               (Pool.in_worker (), List.fold_left ( + ) 0 (Par.parallel_map ~pool busy inner)))
+             outer)
       in
+      Alcotest.(check (list bool)) "in worker" (List.map (fun _ -> true) outer) in_worker;
       let expected =
         List.map
           (fun i ->

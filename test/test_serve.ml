@@ -59,7 +59,7 @@ let chain_line =
 
 let test_parse_roundtrip () =
   match Protocol.parse_line chain_line with
-  | Protocol.Malformed m -> Alcotest.fail m
+  | Protocol.Malformed { error; _ } -> Alcotest.fail error
   | Protocol.Request req ->
     Alcotest.(check int) "tasks" 3 (Array.length req.Protocol.inst.Protocol.weights);
     Alcotest.(check int) "edges" 2 (List.length req.Protocol.inst.Protocol.edges);
@@ -82,6 +82,33 @@ let test_parse_rejects () =
       {|{"tasks":[1],"model":{"kind":"continuous","fmin":0.1,"fmax":1},"deadline":1,"procs":0}|};
       {|{"tasks":"x","model":{"kind":"continuous","fmin":0.1,"fmax":1},"deadline":1}|};
     ]
+
+let test_malformed_keeps_id () =
+  (* every field error after a successful JSON parse echoes the id *)
+  let id_of line =
+    let j = Es_obs.Obs_json.of_string (solve_line line) in
+    (match Es_obs.Obs_json.member "status" j with
+    | Some (Es_obs.Obs_json.Str s) -> Alcotest.(check string) "status" "error" s
+    | _ -> Alcotest.fail "status missing");
+    Es_obs.Obs_json.member "id" j
+  in
+  List.iter
+    (fun line ->
+      match id_of line with
+      | Some (Es_obs.Obs_json.Num x) -> Alcotest.(check (float 0.)) line 7. x
+      | _ -> Alcotest.fail ("id lost: " ^ line))
+    [
+      {|{"id":7,"tasks":[1],"model":{"kind":"warp"},"deadline":1}|};
+      {|{"id":7,"tasks":[1],"model":{"kind":"continuous","fmin":0.1,"fmax":1},"deadline":1,"procs":0}|};
+      {|{"id":7,"tasks":[1],"model":{"kind":"continuous","fmin":0.1,"fmax":1}}|};
+    ];
+  (* no JSON object, no id to echo *)
+  List.iter
+    (fun line ->
+      match id_of line with
+      | Some Es_obs.Obs_json.Null -> ()
+      | _ -> Alcotest.fail ("expected a null id: " ^ line))
+    [ "not json"; "[7]" ]
 
 let test_render_is_compact_json () =
   let r = solve_line chain_line in
@@ -353,6 +380,8 @@ let suite =
     [
       Alcotest.test_case "protocol: parse round-trip" `Quick test_parse_roundtrip;
       Alcotest.test_case "protocol: malformed inputs rejected" `Quick test_parse_rejects;
+      Alcotest.test_case "protocol: malformed requests keep their id" `Quick
+        test_malformed_keeps_id;
       Alcotest.test_case "protocol: responses are compact JSON" `Quick
         test_render_is_compact_json;
       QCheck_alcotest.to_alcotest qcheck_canon_relabel_invariant;

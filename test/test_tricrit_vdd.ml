@@ -156,6 +156,33 @@ let test_max_n_guard () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* A served request (18 tasks on 4 processors) whose reliability rows,
+   with rates ~1e-5, once drove the simplex into a singular basis
+   ("Lp.Revised: basis became singular during pivoting"). *)
+let singular_basis_request =
+  {|{"id":43,"tasks":[9.223008239216373,4.5269653581383293,8.3324313444544256,4.3986201780020444,3.7144867243507758,7.4651174406792542,3.1126533574381319,9.6130347174442878,9.1627784576053166,1.2653224816067496,9.0936127710895658,8.7921337566144295,9.6574796820467554,3.4513238813875473,4.6639074655627546,2.932344403823834,8.4840173171146205,1.8561940338249028],"edges":[[1,4],[0,5],[1,6],[0,7],[1,7],[1,8],[2,8],[8,9],[4,10],[6,10],[4,11],[8,11],[4,12],[9,13],[11,13],[9,14],[12,14],[10,15],[12,15],[10,16],[12,16],[9,17],[10,17]],"procs":4,"model":{"kind":"vdd","levels":[0.2,0.4,0.6,0.8,1]},"deadline":72.328260247522621,"rel":{"frel":0.8}}|}
+
+let test_singular_basis_regression () =
+  let module Protocol = Es_serve.Protocol in
+  match Protocol.parse_line singular_basis_request with
+  | Protocol.Malformed { error; _ } -> Alcotest.fail error
+  | Protocol.Request { inst; _ } -> (
+    let rel = match inst.Protocol.rel with Some r -> r | None -> Alcotest.fail "rel" in
+    let levels =
+      match inst.Protocol.model with
+      | Speed.Vdd_hopping levels -> levels
+      | _ -> Alcotest.fail "vdd model"
+    in
+    let deadline = inst.Protocol.deadline in
+    match
+      Tricrit_vdd.solve_heuristic ~rel ~deadline ~levels (Protocol.resolve_mapping inst)
+    with
+    | None -> Alcotest.fail "feasible instance reported infeasible"
+    | Some sol ->
+      Alcotest.(check bool) "validator accepts" true
+        (Validate.is_feasible ~deadline ~rel ~model:inst.Protocol.model
+           sol.Tricrit_vdd.schedule))
+
 let suite =
   ( "tricrit-vdd",
     [
@@ -170,4 +197,6 @@ let suite =
         test_refine_splits_cache_saves_lp_solves;
       Alcotest.test_case "infeasible detected" `Quick test_infeasible_detected;
       Alcotest.test_case "max_n guard" `Quick test_max_n_guard;
+      Alcotest.test_case "tiny reliability rates keep the basis regular" `Quick
+        test_singular_basis_regression;
     ] )
