@@ -1,19 +1,13 @@
-(* Bechamel benchmarks: one Test.make per experiment table (E1..E12),
-   measuring the cost of the algorithm that regenerates it.  Run with:
-   dune exec bench/main.exe
+(* Benchmark baseline: every experiment table (E1..E12) as the
+   algorithm that regenerates it, run once under Es_obs telemetry.
+   The harness writes a machine-readable baseline (default
+   BENCH_PR1.json) recording wall time plus the solver-work counters
+   (LP solves, simplex pivots, Newton iterations, subsets explored...).
+   Later perf PRs diff against this trajectory.
 
-   Besides the human-readable OLS table, the harness writes a
-   machine-readable baseline (default BENCH_PR1.json): every experiment
-   run once under Es_obs telemetry, recording wall time plus the
-   solver-work counters (LP solves, simplex pivots, Newton iterations,
-   subsets explored...).  Later perf PRs diff against this trajectory.
-
-     dune exec bench/main.exe                      # bechamel + JSON
-     dune exec bench/main.exe -- --json-only       # skip bechamel (CI smoke)
+     dune exec bench/main.exe                      # writes BENCH_PR1.json
      dune exec bench/main.exe -- --out other.json  # change the output path *)
 
-open Bechamel
-open Toolkit
 module Obs = Es_obs.Obs
 
 let fmin = 0.2
@@ -21,7 +15,7 @@ let fmax = 1.0
 let levels = [| 0.2; 0.4; 0.6; 0.8; 1.0 |]
 let rel = Rel.make ~lambda0:1e-5 ~sensitivity:3. ~fmin ~fmax ~frel:0.8 ()
 
-(* Fixed instances, prepared once so staged closures only measure the
+(* Fixed instances, prepared once so the timings only measure the
    algorithms themselves. *)
 
 let fork_dag =
@@ -75,8 +69,7 @@ let bounds m =
 
 let expect_some name f () = match f () with Some _ -> () | None -> failwith name
 
-(* Every experiment as a named thunk: bechamel stages them for OLS
-   timing, the JSON baseline runs them once under telemetry. *)
+(* Every experiment as a named thunk, run once under telemetry. *)
 let experiments : (string * (unit -> unit)) list =
   [
     (* E1: fork closed form *)
@@ -181,46 +174,6 @@ let experiments : (string * (unit -> unit)) list =
           Tricrit_chain.solve_dp ?buckets:None ~rel ~deadline:chain_deadline
             chain_mapping) );
   ]
-
-let tests =
-  List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) experiments
-
-(* ------------------------------------------------------------------ *)
-(* bechamel OLS table                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let benchmark () =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:(Some 500) () in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"energy_sched" tests) in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  Analyze.merge ols instances results
-
-let print_table () =
-  let results = benchmark () in
-  match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
-  | None -> print_endline "no results"
-  | Some tbl ->
-    let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) tbl [] in
-    let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-    let table = Es_util.Table.create ~columns:[ "benchmark"; "time/run" ] in
-    List.iter
-      (fun (name, ols) ->
-        let time =
-          match Analyze.OLS.estimates ols with
-          | Some (t :: _) ->
-            if t > 1e9 then Printf.sprintf "%.3f s" (t /. 1e9)
-            else if t > 1e6 then Printf.sprintf "%.3f ms" (t /. 1e6)
-            else if t > 1e3 then Printf.sprintf "%.3f us" (t /. 1e3)
-            else Printf.sprintf "%.1f ns" t
-          | _ -> "n/a"
-        in
-        Es_util.Table.add_row table [ name; time ])
-      rows;
-    Es_util.Table.print
-      ~caption:"Per-run cost of each experiment's core algorithm (OLS time estimate)"
-      table
 
 (* ------------------------------------------------------------------ *)
 (* JSON baseline                                                       *)
@@ -581,8 +534,4 @@ let () =
     Printf.printf "lp-scaling: wrote %s\n" path;
     if gate && not passed then exit 1
   end
-  else begin
-    let json_only = List.mem "--json-only" argv in
-    if not json_only then print_table ();
-    write_baseline (Bench_common.out_path ~default:"BENCH_PR1.json" argv)
-  end
+  else write_baseline (Bench_common.out_path ~default:"BENCH_PR1.json" argv)

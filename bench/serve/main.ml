@@ -82,7 +82,7 @@ let build_trace () =
   in
   let rng = Rng.create ~seed:98 in
   (* duplicates re-send the original line byte-for-byte (same id), so
-     they exercise the verbatim front table — the cheapest hit path *)
+     they exercise the cache's line entries — the cheapest hit path *)
   let dups =
     List.init n_dup (fun _ ->
         let i = Rng.int rng n_unique in

@@ -166,7 +166,7 @@ let jobs_arg =
 let cache_arg =
   Arg.(
     value & opt int 4096
-    & info [ "cache" ] ~docv:"N" ~doc:"Cache capacity (entries per table).")
+    & info [ "cache" ] ~docv:"N" ~doc:"Cache capacity (entries in total).")
 
 let selfcheck_arg =
   Arg.(

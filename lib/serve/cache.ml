@@ -1,38 +1,24 @@
 module Obs = Es_obs.Obs
 
-(* Outcomes are stored in canonical task order; a hit permutes them
-   back into the request's labeling.  Scalars (energy, makespan) are
-   label-invariant. *)
-type exact_payload = {
-  c_energy : float;
-  c_makespan : float;
-  c_speeds : float array;
-  c_engine : string;
-  c_exact : bool;
-  c_reexec : int list; (* canonical positions, sorted *)
-}
+type key = Line of string | Exact of string | Scaled of string
 
-type exact_entry =
-  | E_solved of exact_payload
-  | E_infeasible of string
-  | E_rejected of string
+(* A scale-covariant optimum: canonical-order speeds together with the
+   total work and deadline of the instance they solve. *)
+type optimum = { speeds : float array; w0 : float; d0 : float; engine : string }
 
-type scaled_entry = {
-  s_speeds : float array; (* canonical order *)
-  s_w0 : float;
-  s_d0 : float;
-  s_engine : string;
-}
+(* [Line] keys map to an outcome in the request's labels, [Exact] keys
+   to an outcome in canonical task order, [Scaled] keys to an
+   optimum. *)
+type entry = Outcome of Protocol.status | Optimum of optimum
 
 type t = {
   capacity : int;
-  exact : (string, exact_entry) Hashtbl.t;
-  exact_fifo : string Queue.t;
-  scaled : (string, scaled_entry) Hashtbl.t;
-  scaled_fifo : string Queue.t;
+  entries : (key, entry) Hashtbl.t;
+  fifo : key Queue.t;  (** insertion order, oldest first *)
 }
 
 let c_hit = Obs.counter "serve.cache.hit"
+let c_verbatim = Obs.counter "serve.cache.verbatim_hit"
 let c_miss = Obs.counter "serve.cache.miss"
 let c_rescale_hit = Obs.counter "serve.cache.rescale_hit"
 let c_rescale_reject = Obs.counter "serve.cache.rescale_reject"
@@ -40,28 +26,35 @@ let c_insert = Obs.counter "serve.cache.insert"
 let c_evict = Obs.counter "serve.cache.evict"
 
 let create ?(capacity = 4096) () =
-  {
-    capacity = max 1 capacity;
-    exact = Hashtbl.create 64;
-    exact_fifo = Queue.create ();
-    scaled = Hashtbl.create 64;
-    scaled_fifo = Queue.create ();
-  }
+  { capacity = max 1 capacity; entries = Hashtbl.create 64; fifo = Queue.create () }
 
-let bump t tbl fifo key value =
-  if Hashtbl.mem tbl key then Hashtbl.replace tbl key value
+let add t key entry =
+  if Hashtbl.mem t.entries key then Hashtbl.replace t.entries key entry
   else begin
-    if Queue.length fifo >= t.capacity then begin
-      match Queue.take_opt fifo with
+    if Queue.length t.fifo >= t.capacity then begin
+      match Queue.take_opt t.fifo with
       | Some old ->
-        Hashtbl.remove tbl old;
+        Hashtbl.remove t.entries old;
         Obs.incr c_evict
       | None -> ()
     end;
-    Hashtbl.add tbl key value;
-    Queue.add key fifo;
+    Hashtbl.add t.entries key entry;
+    Queue.add key t.fifo;
     Obs.incr c_insert
   end
+
+(* Relabel an outcome: task [i] becomes task [perm.(i)].  Scalars
+   (energy, makespan) are label-invariant. *)
+let permute perm (s : Protocol.solved) =
+  let speeds = Array.make (Array.length perm) 0. in
+  Array.iteri (fun i p -> speeds.(p) <- s.speeds.(i)) perm;
+  let reexecuted = List.sort Int.compare (List.map (fun i -> perm.(i)) s.reexecuted) in
+  { s with speeds; reexecuted }
+
+let inverse perm =
+  let inv = Array.make (Array.length perm) 0 in
+  Array.iteri (fun i p -> inv.(p) <- i) perm;
+  inv
 
 (* Strict interiority w.r.t. the speed bounds: all Lagrange
    multipliers of the bound constraints are zero, so the cached point
@@ -80,52 +73,42 @@ type found = {
 let insert t ~(inst : Protocol.instance) ~(canon : Canon.t)
     (status : Protocol.status) =
   match status with
-  | Protocol.Solved s ->
-    let n = Array.length s.speeds in
-    let c_speeds = Array.make n 0. in
-    Array.iteri (fun i p -> c_speeds.(p) <- s.speeds.(i)) canon.perm;
-    let c_reexec =
-      List.sort Int.compare (List.map (fun i -> canon.perm.(i)) s.reexecuted)
-    in
-    bump t t.exact t.exact_fifo canon.exact_key
-      (E_solved
-         {
-           c_energy = s.energy;
-           c_makespan = s.makespan;
-           c_speeds;
-           c_engine = s.engine;
-           c_exact = s.exact;
-           c_reexec;
-         });
-    (match (canon.scaled_key, inst.model, s.reexecuted) with
+  | Protocol.Solved s -> (
+    let c = permute canon.perm s in
+    add t (Exact canon.exact_key) (Outcome (Protocol.Solved c));
+    match (canon.scaled_key, inst.model, s.reexecuted) with
     | Some key, Speed.Continuous { fmin; fmax }, []
       when s.exact
            && interior ~fmin ~fmax s.speeds
            && canon.total_work > 0.
            && inst.deadline > 0. ->
-      bump t t.scaled t.scaled_fifo key
-        {
-          s_speeds = c_speeds;
-          s_w0 = canon.total_work;
-          s_d0 = inst.deadline;
-          s_engine = s.engine;
-        }
+      add t (Scaled key)
+        (Optimum
+           { speeds = c.speeds; w0 = canon.total_work; d0 = inst.deadline; engine = s.engine })
     | _ -> ())
-  | Protocol.Infeasible msg ->
-    bump t t.exact t.exact_fifo canon.exact_key (E_infeasible msg)
-  | Protocol.Rejected msg ->
-    bump t t.exact t.exact_fifo canon.exact_key (E_rejected msg)
+  | Protocol.Infeasible _ | Protocol.Rejected _ ->
+    add t (Exact canon.exact_key) (Outcome status)
   | Protocol.Shed _ | Protocol.Over_budget _ -> ()
 
-let try_rescale ~(inst : Protocol.instance) ~order ~(canon : Canon.t)
-    (e : scaled_entry) =
+let find_line t line =
+  match Hashtbl.find_opt t.entries (Line line) with
+  | Some (Outcome status) ->
+    Obs.incr c_verbatim;
+    Some status
+  | Some (Optimum _) | None -> None
+
+let add_line t line (status : Protocol.status) =
+  match status with
+  | Protocol.Solved _ | Protocol.Infeasible _ | Protocol.Rejected _ ->
+    add t (Line line) (Outcome status)
+  | Protocol.Shed _ | Protocol.Over_budget _ -> ()
+
+let try_rescale ~(inst : Protocol.instance) ~order ~(canon : Canon.t) o =
   if canon.total_work <= 0. || inst.deadline <= 0. then None
   else begin
-    let factor = canon.total_work /. e.s_w0 /. (inst.deadline /. e.s_d0) in
+    let factor = canon.total_work /. o.w0 /. (inst.deadline /. o.d0) in
     let n = Array.length inst.weights in
-    let speeds =
-      Array.init n (fun i -> e.s_speeds.(canon.perm.(i)) *. factor)
-    in
+    let speeds = Array.init n (fun i -> o.speeds.(canon.perm.(i)) *. factor) in
     match
       let mapping = Mapping.make ~p:(Array.length order) (Protocol.dag inst) ~order in
       let sched = Schedule.of_speeds mapping ~speeds in
@@ -133,7 +116,7 @@ let try_rescale ~(inst : Protocol.instance) ~order ~(canon : Canon.t)
         Validate.check ~deadline:inst.deadline ?rel:inst.rel ~model:inst.model
           sched
       with
-      | [] -> Some (Protocol.solved_of_schedule ~engine:e.s_engine ~exact:true sched)
+      | [] -> Some (Protocol.solved_of_schedule ~engine:o.engine ~exact:true sched)
       | _ :: _ -> None
     with
     | exception Invalid_argument _ -> None
@@ -143,53 +126,29 @@ let try_rescale ~(inst : Protocol.instance) ~order ~(canon : Canon.t)
   end
 
 let lookup t ~(inst : Protocol.instance) ~order ~(canon : Canon.t) =
-  match Hashtbl.find_opt t.exact canon.exact_key with
-  | Some (E_solved p) ->
+  match Hashtbl.find_opt t.entries (Exact canon.exact_key) with
+  | Some (Outcome status) ->
     Obs.incr c_hit;
-    let n = Array.length inst.weights in
-    let speeds = Array.init n (fun i -> p.c_speeds.(canon.perm.(i))) in
-    let reexecuted =
-      List.filter
-        (fun i -> List.exists (Int.equal canon.perm.(i)) p.c_reexec)
-        (List.init n (fun i -> i))
+    let status =
+      match status with
+      | Protocol.Solved c -> Protocol.Solved (permute (inverse canon.perm) c)
+      | status -> status
     in
-    Some
-      {
-        status =
-          Protocol.Solved
-            {
-              energy = p.c_energy;
-              speeds;
-              makespan = p.c_makespan;
-              engine = p.c_engine;
-              exact = p.c_exact;
-              reexecuted;
-            };
-        disposition = Protocol.Hit;
-      }
-  | Some (E_infeasible msg) ->
-    Obs.incr c_hit;
-    Some { status = Protocol.Infeasible msg; disposition = Protocol.Hit }
-  | Some (E_rejected msg) ->
-    Obs.incr c_hit;
-    Some { status = Protocol.Rejected msg; disposition = Protocol.Hit }
-  | None -> (
-    let scaled =
-      match canon.scaled_key with
-      | None -> None
-      | Some key -> (
-        match Hashtbl.find_opt t.scaled key with
-        | None -> None
-        | Some e -> (
-          match try_rescale ~inst ~order ~canon e with
-          | Some f ->
-            Obs.incr c_rescale_hit;
-            Some f
-          | None ->
-            Obs.incr c_rescale_reject;
-            None))
+    Some { status; disposition = Protocol.Hit }
+  | Some (Optimum _) | None -> (
+    let rescaled =
+      match Option.bind canon.scaled_key (fun key -> Hashtbl.find_opt t.entries (Scaled key)) with
+      | Some (Optimum o) -> (
+        match try_rescale ~inst ~order ~canon o with
+        | Some f ->
+          Obs.incr c_rescale_hit;
+          Some f
+        | None ->
+          Obs.incr c_rescale_reject;
+          None)
+      | Some (Outcome _) | None -> None
     in
-    match scaled with
+    match rescaled with
     | Some f -> Some f
     | None ->
       Obs.incr c_miss;

@@ -23,9 +23,6 @@ let default_config =
 type t = {
   config : config;
   cache : Cache.t;
-  (* byte-verbatim front table: request line -> deterministic outcome *)
-  verbatim : (string, Protocol.status) Hashtbl.t;
-  verbatim_fifo : string Queue.t;
   mutable rescale_seen : int;
   mutable samples_rev : (string * float) list;
 }
@@ -34,7 +31,6 @@ let c_requests = Obs.counter "serve.requests"
 let c_batches = Obs.counter "serve.batches"
 let c_shed = Obs.counter "serve.shed"
 let c_malformed = Obs.counter "serve.malformed"
-let c_verbatim = Obs.counter "serve.cache.verbatim_hit"
 let c_sc_ok = Obs.counter "serve.selfcheck.ok"
 let c_sc_fail = Obs.counter "serve.selfcheck.fail"
 let t_batch = Obs.timer "serve.batch"
@@ -44,8 +40,6 @@ let create config =
   {
     config;
     cache = Cache.create ~capacity:config.cache_capacity ();
-    verbatim = Hashtbl.create 64;
-    verbatim_fifo = Queue.create ();
     rescale_seen = 0;
     samples_rev = [];
   }
@@ -53,20 +47,6 @@ let create config =
 let push_sample t tag wall = t.samples_rev <- (tag, wall) :: t.samples_rev
 
 let samples t = List.rev t.samples_rev
-
-let verbatim_insert t line status =
-  match status with
-  | Protocol.Solved _ | Protocol.Infeasible _ | Protocol.Rejected _ ->
-    if not (Hashtbl.mem t.verbatim line) then begin
-      if Queue.length t.verbatim_fifo >= t.config.cache_capacity then begin
-        match Queue.take_opt t.verbatim_fifo with
-        | Some old -> Hashtbl.remove t.verbatim old
-        | None -> ()
-      end;
-      Hashtbl.add t.verbatim line status;
-      Queue.add line t.verbatim_fifo
-    end
-  | Protocol.Shed _ | Protocol.Over_budget _ -> ()
 
 (* ---- the parallel phase ------------------------------------------- *)
 
@@ -145,9 +125,8 @@ let classify t ~admitted line =
     end
     else begin
       incr admitted;
-      match Hashtbl.find_opt t.verbatim line with
+      match Cache.find_line t.cache line with
       | Some status ->
-        Obs.incr c_verbatim;
         push_sample t "hit" (Obs.now () -. t0);
         Immediate (reply ~cache:Protocol.Hit req.id status)
       | None -> (
@@ -237,7 +216,7 @@ let process_batch t ~pool lines =
           let status, wall = next () in
           push_sample t "miss" (c.prep +. wall);
           Cache.insert t.cache ~inst:c.req.inst ~canon:c.canon status;
-          verbatim_insert t c.line status;
+          Cache.add_line t.cache c.line status;
           reply ~cache:Protocol.Cold c.req.id status
       in
       Protocol.render resp)

@@ -19,8 +19,8 @@
 
     {b Caching.}  Admitted requests are looked up sequentially, in
     request order, against the cache state left by the {e previous}
-    batch (plus a byte-verbatim front table hit first — an identical
-    request line short-circuits canonicalization entirely).  Misses
+    batch; a byte-identical request line is answered from its line
+    entry before any canonicalization (see {!Cache}).  Misses
     are solved in parallel on the pool ({!Es_par.Par.parallel_map}:
     order-preserving, exception-safe) and inserted back in request
     order after the join.  Consequently the response stream for a
@@ -45,7 +45,7 @@ type config = {
   jobs : int;  (** pool width the transport should create *)
   batch : int;  (** max requests per batch window *)
   queue : int;  (** admission bound per batch window *)
-  cache_capacity : int;
+  cache_capacity : int;  (** cache entries in total, all kinds together *)
   selfcheck : int;  (** re-solve every k-th rescale hit; 0 = off *)
   exact_threshold : int option;  (** forwarded to {!Solver.solve} *)
 }

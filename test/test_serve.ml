@@ -11,6 +11,7 @@ module Server = Es_serve.Server
 module CGen = Es_check.Gen
 module Rng = Es_util.Rng
 module Pool = Es_par.Pool
+module Obs = Es_obs.Obs
 
 (* --- helpers -------------------------------------------------------- *)
 
@@ -287,6 +288,92 @@ let test_cache_rescale_requires_interior () =
     Alcotest.fail "boundary optimum must not be rescaled"
   | Some _ -> Alcotest.fail "unexpected exact hit"
 
+let test_cache_reexecuted_permutes () =
+  (* a TRI-CRIT diamond whose deadline leaves room to re-execute tasks
+     0, 1 and 2: the hit must carry their images under the relabeling *)
+  let tricrit =
+    match
+      Protocol.parse_line
+        {|{"tasks":[1,1.5,2,1],"edges":[[0,1],[0,2],[1,3],[2,3]],"procs":2,"model":{"kind":"continuous","fmin":0.05,"fmax":5},"deadline":20,"rel":{"frel":0.8}}|}
+    with
+    | Protocol.Request r -> r.Protocol.inst
+    | Protocol.Malformed { error; _ } -> Alcotest.fail error
+  in
+  let cache = Cache.create () in
+  let order = Protocol.resolve_order tricrit in
+  let s =
+    match solved_of tricrit with
+    | Protocol.Solved s -> s
+    | _ -> Alcotest.fail "tri-crit diamond must solve"
+  in
+  Alcotest.(check bool) "some task re-executed" true (s.Protocol.reexecuted <> []);
+  Cache.insert cache ~inst:tricrit ~canon:(Canon.of_instance ~order tricrit)
+    (Protocol.Solved s);
+  let sigma = [| 3; 2; 1; 0 |] in
+  let inv = Array.make 4 0 in
+  Array.iteri (fun nw old -> inv.(old) <- nw) sigma;
+  let pi', order' = relabel ~sigma ~proc_rot:1 tricrit order in
+  match Cache.lookup cache ~inst:pi' ~order:order' ~canon:(Canon.of_instance ~order:order' pi') with
+  | Some { Cache.status = Protocol.Solved s'; disposition = Protocol.Hit } ->
+    Alcotest.(check (list int)) "reexecuted is the sorted image"
+      (List.sort Int.compare (List.map (fun i -> inv.(i)) s.Protocol.reexecuted))
+      s'.Protocol.reexecuted;
+    Array.iteri
+      (fun j v ->
+        Alcotest.(check (float 0.)) (Printf.sprintf "speed %d" j) s.Protocol.speeds.(sigma.(j)) v)
+      s'.Protocol.speeds
+  | _ -> Alcotest.fail "expected an exact hit"
+
+let with_obs f =
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.disable ()) f
+
+let test_cache_evicts_oldest_first () =
+  with_obs @@ fun () ->
+  let c_insert = Obs.counter "serve.cache.insert" in
+  let c_evict = Obs.counter "serve.cache.evict" in
+  let i0 = Obs.value c_insert and e0 = Obs.value c_evict in
+  let evicted () = Obs.value c_evict - e0 in
+  let check_bound step =
+    Alcotest.(check bool) (step ^ ": at most 3 entries") true
+      (Obs.value c_insert - i0 - evicted () <= 3)
+  in
+  let cache = Cache.create ~capacity:3 () in
+  let order = Protocol.resolve_order diamond in
+  let key (pi : Protocol.instance) = Canon.of_instance ~order pi in
+  let disposition pi =
+    Option.map (fun f -> f.Cache.disposition) (Cache.lookup cache ~inst:pi ~order ~canon:(key pi))
+  in
+  let disp = Alcotest.testable (fun ppf d ->
+      Format.pp_print_string ppf
+        (Option.fold ~none:"none" ~some:Protocol.disposition_name d)) ( = )
+  in
+  (* one exact and one scaled entry, then one line entry *)
+  let status = solved_of diamond in
+  Cache.insert cache ~inst:diamond ~canon:(key diamond) status;
+  Cache.add_line cache "diamond" status;
+  check_bound "full";
+  Alcotest.(check int) "nothing evicted yet" 0 (evicted ());
+  Alcotest.check disp "exact entry present" (Some Protocol.Hit) (disposition diamond);
+  (* three infeasible verdicts under new exact keys push the others out
+     in insertion order: exact, then scaled, then line *)
+  let other d = { diamond with Protocol.deadline = d } in
+  Cache.insert cache ~inst:(other 1.) ~canon:(key (other 1.)) (Protocol.Infeasible "test");
+  check_bound "after one eviction";
+  Alcotest.(check int) "one evicted" 1 (evicted ());
+  Alcotest.check disp "exact entry gone, scaled entry left" (Some Protocol.Rescale_hit)
+    (disposition diamond);
+  Cache.insert cache ~inst:(other 2.) ~canon:(key (other 2.)) (Protocol.Infeasible "test");
+  check_bound "after two evictions";
+  Alcotest.(check int) "two evicted" 2 (evicted ());
+  Alcotest.check disp "scaled entry gone" None (disposition diamond);
+  Alcotest.(check bool) "line entry still there" true (Cache.find_line cache "diamond" <> None);
+  Cache.insert cache ~inst:(other 3.) ~canon:(key (other 3.)) (Protocol.Infeasible "test");
+  check_bound "after three evictions";
+  Alcotest.(check int) "three evicted" 3 (evicted ());
+  Alcotest.(check bool) "line entry gone" true (Cache.find_line cache "diamond" = None);
+  Alcotest.check disp "newest entries kept" (Some Protocol.Hit) (disposition (other 1.))
+
 (* --- server --------------------------------------------------------- *)
 
 let test_server_hits_across_batches () =
@@ -394,6 +481,10 @@ let suite =
         test_cache_rescale_hit_law;
       Alcotest.test_case "cache: boundary optima are not rescaled" `Quick
         test_cache_rescale_requires_interior;
+      Alcotest.test_case "cache: re-executed tasks are relabeled on a hit" `Quick
+        test_cache_reexecuted_permutes;
+      Alcotest.test_case "cache: one capacity, oldest entry evicted first" `Quick
+        test_cache_evicts_oldest_first;
       Alcotest.test_case "server: duplicate hits across batches" `Quick
         test_server_hits_across_batches;
       Alcotest.test_case "server: sheds beyond the queue bound" `Quick
